@@ -237,9 +237,14 @@ impl<E: Clone> CalendarQueue<E> {
             }
             if let Some(s) = self.buckets[b].first() {
                 // Due this "year"? All pending times are >= now, so a
-                // head earlier than this bucket's year boundary belongs
-                // to the current lap and is the global minimum.
-                if s.time < (vb as f64 + 1.0) * self.width {
+                // head filed under this lap's virtual bucket is the
+                // global minimum. The test reuses `virtual_bucket`, the
+                // exact expression `schedule` filed the slot under: a
+                // float boundary test such as `time < (vb+1)·width` can
+                // round the other way (at width 0.002, 4.002 files into
+                // bucket 2000 yet `4.002 < 2001·0.002` is false) and
+                // would skip the event for a whole lap.
+                if self.virtual_bucket(s.time) <= vb {
                     return self.take_from(b, vb);
                 }
             }
@@ -269,6 +274,12 @@ impl<E: Clone> CalendarQueue<E> {
 
     fn take_from(&mut self, b: usize, vb: u64) -> Option<(f64, E)> {
         let slot = self.buckets[b].pop_first().expect("bucket head checked");
+        assert!(
+            slot.time >= self.now,
+            "calendar queue popped {} after {}",
+            slot.time,
+            self.now
+        );
         self.pending.remove(&slot.seq);
         self.now = slot.time;
         self.cursor = vb;
@@ -291,7 +302,8 @@ impl<E: Clone> CalendarQueue<E> {
         for _ in 0..nb {
             let b = self.physical(vb);
             if let Some((t, _)) = first_live(&self.buckets[b]) {
-                if t < (vb as f64 + 1.0) * self.width {
+                // Same due-this-lap test as `pop`.
+                if self.virtual_bucket(t) <= vb {
                     return Some(t);
                 }
             }
@@ -455,6 +467,27 @@ mod tests {
         // The queue remains usable after mass cancellation.
         q.schedule(50.0, 1234);
         assert_eq!(q.pop(), Some((50.0, 1234)));
+    }
+
+    #[test]
+    fn bucket_boundary_rounding_keeps_time_order() {
+        // At width 0.002, 4.002 / 0.002 = 2000.9999999999998 files the
+        // event into bucket 2000, while 2001 · 0.002 rounds to exactly
+        // 4.002: a float `time < (vb+1)·width` due test disagrees with
+        // the filing and would pop 4.003 (bucket 2001) first.
+        let (t, width) = (4.002f64, 0.002f64);
+        assert_eq!((t / width) as u64, 2000);
+        assert!(t >= 2001.0 * width);
+        let mut q = CalendarQueue::new();
+        q.width = width;
+        q.schedule(3.999, "a");
+        q.schedule(4.002, "b");
+        q.schedule(4.003, "c");
+        assert_eq!(q.pop(), Some((3.999, "a")));
+        assert_eq!(q.peek_time(), Some(4.002), "peek agrees with pop");
+        assert_eq!(q.pop(), Some((4.002, "b")));
+        assert_eq!(q.pop(), Some((4.003, "c")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -615,6 +615,109 @@ mod tests {
         assert!(!t1.is_empty());
     }
 
+    /// Seeded mixed-cap, mixed-period population: `n` groups with RTTs
+    /// from {0.04, 0.08, 0.1, 0.12, 0.16} s (periods 1, 2, 3, 3, 4 base
+    /// ticks) and every other group capped.
+    fn mixed_period_groups(seed: u64, n: usize) -> Vec<FlowGroup> {
+        const RTTS: [f64; 5] = [0.04, 0.08, 0.1, 0.12, 0.16];
+        let mut rng = Rng::seed_from_u64(seed);
+        (0..n)
+            .map(|i| {
+                let cap = if i % 2 == 0 {
+                    rng.uniform(0.3, 3.0)
+                } else {
+                    1e9
+                };
+                let rtt = RTTS[rng.below(RTTS.len() as u64) as usize];
+                FlowGroup::new(format!("g{i}"), 2 + (i % 5), cap, rtt)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn mixed_periods_run_every_scheduled_update_in_time_order() {
+        // The calendar queue asserts on every pop that time never runs
+        // backwards, so these runs also pin pop order. Every class update
+        // scheduled at or before `Stop` must run: the count is exactly
+        // Σ_class #{k ≥ 1 : k·period·base_dt ≤ stop_t}, evaluated with
+        // the scheduler's own expression.
+        for seed in 0..12 {
+            let mut sim = ScaledSim::new(mixed_period_groups(seed, 40), quick_config(120.0), 1);
+            let out = sim.run();
+            let stop_t = sim.config.warmup + sim.config.measure;
+            let expected: u64 = sim
+                .classes
+                .iter()
+                .map(|c| {
+                    (1..)
+                        .take_while(|k| (k * c.period_ticks) as f64 * sim.base_dt <= stop_t)
+                        .count() as u64
+                })
+                .sum();
+            assert_eq!(out.updates, expected, "seed {seed}: lost class updates");
+        }
+    }
+
+    /// FNV-1a over the bit patterns of a run's trace and report.
+    fn run_digest(report: &ScaledReport, trace: &Trace) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for (t, q) in trace.times().iter().zip(trace.queue_delays()) {
+            eat(t.to_bits());
+            eat(q.to_bits());
+        }
+        for g in 0..report.report.per_flow_rate.len() {
+            for r in trace.rate_series(g) {
+                eat(r.to_bits());
+            }
+        }
+        for r in &report.report.per_flow_rate {
+            eat(r.to_bits());
+        }
+        eat(report.report.aggregate.to_bits());
+        eat(report.report.mean_loss.to_bits());
+        eat(report.report.mean_queue_delay.to_bits());
+        eat(report.updates);
+        h
+    }
+
+    #[test]
+    fn mixed_period_traces_match_pinned_digests() {
+        // Digests of mixed-period runs recorded from the per-class
+        // scheduler (one calendar event per class per update) on the
+        // boundary-fixed queue. Any change to which classes update when,
+        // or in which order their results commit, moves these bits. The
+        // 96-group populations put every period on the lattice and reach
+        // batches above PARALLEL_THRESHOLD, so 2/4/8 workers take the
+        // parallel path.
+        const PINNED: [u64; 4] = [
+            0xb5d4_67f3_43b2_e3a1,
+            0x9a5b_ba95_7698_8580,
+            0x9331_3e5a_3551_20f0,
+            0xbdfd_302f_3c59_0066,
+        ];
+        for (seed, want) in (0..).zip(PINNED) {
+            for workers in [1, 2, 4, 8] {
+                let config = SimConfig {
+                    warmup: 4.0,
+                    measure: 6.0,
+                    ..quick_config(200.0)
+                };
+                let mut sim = ScaledSim::new(mixed_period_groups(seed, 96), config, workers);
+                let (report, trace) = sim.run_traced(0.25);
+                let got = run_digest(&report, &trace);
+                assert_eq!(
+                    got, want,
+                    "seed {seed} at {workers} workers: digest {got:#018x}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn rtt_spread_cuts_update_work() {
         // Self-clocking: a 10× RTT spread must do far fewer updates than

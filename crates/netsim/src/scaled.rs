@@ -7,9 +7,12 @@
 //! need, and the cost per tick is O(groups). [`ScaledSim`] removes both
 //! factors:
 //!
-//! * **RTT-clocked updates.** Each flow class schedules its own AIMD
-//!   update every `round(RTT/min RTT)` base ticks on a
-//!   [`crate::CalendarQueue`]; between its events a class costs nothing.
+//! * **RTT-clocked updates.** Each flow class updates its AIMD window
+//!   every `round(RTT/min RTT)` base ticks; between updates a class
+//!   costs nothing. Classes with equal periods always fall due together,
+//!   so each such **cohort** shares one recurring event on a
+//!   [`crate::CalendarQueue`] — scheduler traffic scales with the number
+//!   of distinct periods, not with the number of classes.
 //!   The bottleneck queue is integrated lazily up to each event time
 //!   (arrival rates are piecewise-constant between class updates), with
 //!   a cancellable **drain timer** pinning an integration point at the
@@ -26,8 +29,9 @@
 //!
 //! ## Determinism contract
 //!
-//! Events at one time are processed as: class updates (in schedule
-//! order), then phase/sample/drain events. Every arithmetic operation is
+//! Events at one time are processed as: class updates (cohorts in
+//! schedule order, members in class-index order), then
+//! phase/sample/drain events. Every arithmetic operation is
 //! ordered by class index or schedule sequence — never by thread timing
 //! — so a run is a pure function of `(groups, config, workers ≥ 1 ×
 //! sample period)`, and byte-identical across `workers`.
@@ -36,6 +40,7 @@ use crate::calendar::{CalendarQueue, EventId};
 use crate::flow::{FlowGroup, FlowState};
 use crate::sim::{build_bottleneck, Bottleneck, GroupIndexError, SimConfig, SimReport};
 use crate::trace::{Trace, TraceSample};
+use std::collections::HashMap;
 
 /// Batch size below which a parallel dispatch costs more than it saves;
 /// smaller batches run inline (same arithmetic, same commit order, so
@@ -54,8 +59,6 @@ struct ClassState {
     /// groups, with empty groups counting one probe flow when
     /// [`SimConfig::probe_empty_groups`] is set.
     flows: f64,
-    /// Update period in base ticks (`round(rtt / min_rtt)`, ≥ 1).
-    period_ticks: u64,
     /// Representative congestion window (MSS).
     cwnd: f64,
     /// Per-flow send rate as of the last update (units/s).
@@ -66,6 +69,17 @@ struct ClassState {
     last_loss_int: f64,
     /// Accumulated per-flow goodput·time over the measurement window.
     goodput: f64,
+}
+
+/// Every class with one update period. Members start on the same tick
+/// and advance by the same stride, so they are always due together and
+/// share one recurring calendar event.
+#[derive(Debug, Clone)]
+struct Cohort {
+    /// Update period in base ticks (`round(rtt / min_rtt)`, ≥ 1).
+    period_ticks: u64,
+    /// Member class indices, ascending.
+    members: Vec<u32>,
     /// Next scheduled update, in base ticks.
     next_tick: u64,
 }
@@ -73,8 +87,9 @@ struct ClassState {
 /// Events driving the scaled simulation.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    /// AIMD update of one class (index into the class table).
-    Update(u32),
+    /// AIMD update of every class in one cohort (index into the cohort
+    /// table).
+    Cohort(u32),
     /// Measurement window opens.
     StartMeasure,
     /// Simulation ends.
@@ -95,7 +110,9 @@ pub struct ScaledReport {
     pub report: SimReport,
     /// Number of aggregated flow classes the groups collapsed into.
     pub classes: usize,
-    /// Calendar events processed.
+    /// Calendar events processed: one per due cohort (all classes
+    /// sharing an update period) per update tick, plus phase, sample and
+    /// drain events — not one per class update.
     pub events: u64,
     /// Class AIMD updates executed (the O(·) work term; the fixed-dt
     /// path's equivalent is `groups × steps`).
@@ -112,6 +129,7 @@ pub struct ScaledSim {
     /// Maximum workers for per-class parallel stepping (1 = inline).
     pub workers: usize,
     classes: Vec<ClassState>,
+    cohorts: Vec<Cohort>,
     group_class: Vec<usize>,
     queue: Bottleneck,
     base_dt: f64,
@@ -137,26 +155,36 @@ impl ScaledSim {
         let queue = build_bottleneck(&mut config, min_rtt);
         let base_dt = config.dt_rtt_fraction * min_rtt;
 
-        // Aggregate by exact (rtt, cap) bit pattern, classes ordered by
-        // first occurrence so the layout is independent of hash state.
-        let mut index: std::collections::HashMap<(u64, u64), usize> =
-            std::collections::HashMap::new();
+        // Aggregate by exact (rtt, cap) bit pattern, and classes by
+        // period into cohorts; both ordered by first occurrence so the
+        // layout is independent of hash state.
+        let mut index: HashMap<(u64, u64), usize> = HashMap::new();
+        let mut cohort_of_period: HashMap<u64, usize> = HashMap::new();
         let mut classes: Vec<ClassState> = Vec::new();
+        let mut cohorts: Vec<Cohort> = Vec::new();
         let mut group_class = Vec::with_capacity(groups.len());
         for g in &groups {
             let key = (g.rtt_base.to_bits(), g.rate_cap.to_bits());
             let c = *index.entry(key).or_insert_with(|| {
+                let period_ticks = ((g.rtt_base / min_rtt).round() as u64).max(1);
+                let k = *cohort_of_period.entry(period_ticks).or_insert_with(|| {
+                    cohorts.push(Cohort {
+                        period_ticks,
+                        members: Vec::new(),
+                        next_tick: 0,
+                    });
+                    cohorts.len() - 1
+                });
+                cohorts[k].members.push(classes.len() as u32);
                 classes.push(ClassState {
                     rtt_base: g.rtt_base,
                     cap: g.rate_cap,
                     flows: 0.0,
-                    period_ticks: ((g.rtt_base / min_rtt).round() as u64).max(1),
                     cwnd: 1.0,
                     rate: 0.0,
                     last_t: 0.0,
                     last_loss_int: 0.0,
                     goodput: 0.0,
-                    next_tick: 0,
                 });
                 classes.len() - 1
             });
@@ -167,6 +195,7 @@ impl ScaledSim {
             config,
             workers: workers.max(1),
             classes,
+            cohorts,
             group_class,
             queue,
             base_dt,
@@ -301,15 +330,15 @@ impl ScaledSim {
             class.last_t = 0.0;
             class.last_loss_int = 0.0;
             class.goodput = 0.0;
-            class.next_tick = class.period_ticks;
             agg_rate += class.flows * class.rate;
         }
 
         let mut cal: CalendarQueue<Ev> = CalendarQueue::new();
-        for (c, class) in self.classes.iter().enumerate() {
-            let first = class.next_tick as f64 * base_dt;
+        for (k, cohort) in self.cohorts.iter_mut().enumerate() {
+            cohort.next_tick = cohort.period_ticks;
+            let first = cohort.next_tick as f64 * base_dt;
             if first <= stop_t {
-                cal.schedule(first, Ev::Update(c as u32));
+                cal.schedule(first, Ev::Cohort(k as u32));
             }
         }
         cal.schedule(warmup, Ev::StartMeasure);
@@ -328,16 +357,25 @@ impl ScaledSim {
         let mut delay_at_measure = 0.0;
         let mut events = 0u64;
         let mut updates = 0u64;
+        // Due cohorts in pop order, and their members concatenated: the
+        // batch's slot order is the commit order.
+        let mut due: Vec<u32> = Vec::new();
         let mut batch: Vec<u32> = Vec::new();
+        let mut results: Vec<(f64, f64, f64)> = Vec::new();
 
         while let Some((t, first)) = cal.pop() {
             events += 1;
+            due.clear();
             batch.clear();
             let mut start_measure = false;
             let mut sample = false;
             let mut stop = false;
+            let cohorts = &self.cohorts;
             let mut classify = |ev: Ev| match ev {
-                Ev::Update(c) => batch.push(c),
+                Ev::Cohort(k) => {
+                    due.push(k);
+                    batch.extend_from_slice(&cohorts[k as usize].members);
+                }
                 Ev::StartMeasure => start_measure = true,
                 Ev::Sample => sample = true,
                 Ev::Stop => stop = true,
@@ -378,12 +416,12 @@ impl ScaledSim {
                         stop_t,
                     )
                 };
-                let results: Vec<(f64, f64, f64)> =
-                    if batch.len() >= PARALLEL_THRESHOLD && self.workers > 1 {
-                        pubopt_sched::Pool::global().map(&batch, self.workers, work)
-                    } else {
-                        batch.iter().map(work).collect()
-                    };
+                if batch.len() >= PARALLEL_THRESHOLD && self.workers > 1 {
+                    results = pubopt_sched::Pool::global().map(&batch, self.workers, work);
+                } else {
+                    results.clear();
+                    results.extend(batch.iter().map(work));
+                }
                 for (&c, &(cwnd, rate, goodput_add)) in batch.iter().zip(&results) {
                     let class = &mut self.classes[c as usize];
                     agg_rate += class.flows * (rate - class.rate);
@@ -392,10 +430,17 @@ impl ScaledSim {
                     class.goodput += goodput_add;
                     class.last_t = t;
                     class.last_loss_int = loss_int;
-                    class.next_tick += class.period_ticks;
-                    let next = class.next_tick as f64 * base_dt;
+                }
+                // One reschedule per cohort, in pop order. Cohorts due at
+                // one tick have distinct periods, so they were last
+                // scheduled at distinct ticks and the calendar's sequence
+                // tie-break orders them exactly as per-class events were.
+                for &k in &due {
+                    let cohort = &mut self.cohorts[k as usize];
+                    cohort.next_tick += cohort.period_ticks;
+                    let next = cohort.next_tick as f64 * base_dt;
                     if next <= stop_t {
-                        cal.schedule(next, Ev::Update(c));
+                        cal.schedule(next, Ev::Cohort(k));
                     }
                 }
             }
@@ -646,12 +691,13 @@ mod tests {
             let out = sim.run();
             let stop_t = sim.config.warmup + sim.config.measure;
             let expected: u64 = sim
-                .classes
+                .cohorts
                 .iter()
                 .map(|c| {
-                    (1..)
+                    let ticks = (1..)
                         .take_while(|k| (k * c.period_ticks) as f64 * sim.base_dt <= stop_t)
-                        .count() as u64
+                        .count();
+                    (ticks * c.members.len()) as u64
                 })
                 .sum();
             assert_eq!(out.updates, expected, "seed {seed}: lost class updates");

@@ -3,6 +3,7 @@
 use crate::shape::ShapeCheck;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Harness configuration shared by every figure.
 #[derive(Debug, Clone)]
@@ -121,17 +122,25 @@ impl Table {
         s
     }
 
-    /// Write the CSV to `dir/name`.
+    /// Write the CSV to `dir/name` atomically: the text goes to a
+    /// uniquely named temporary file in `dir`, which is then renamed over
+    /// `name`, so a concurrent reader sees the old file or the new one,
+    /// never a truncated one.
     ///
     /// # Panics
     ///
     /// Panics on IO failure (experiment output paths are operator-chosen;
     /// failing loudly beats silently missing data files).
     pub fn write_csv(&self, dir: &Path, name: &str) -> PathBuf {
+        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
         let path = dir.join(name);
-        fs::write(&path, self.to_csv())
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = dir.join(format!(".{name}.{}.{seq}.tmp", std::process::id()));
+        fs::write(&tmp, self.to_csv())
+            .unwrap_or_else(|e| panic!("cannot write {}: {e}", tmp.display()));
+        fs::rename(&tmp, &path)
+            .unwrap_or_else(|e| panic!("cannot rename onto {}: {e}", path.display()));
         path
     }
 }
@@ -281,6 +290,14 @@ mod tests {
         let p = t.write_csv(&dir, "t.csv");
         let content = std::fs::read_to_string(&p).unwrap();
         assert!(content.contains("1.5"));
+        let leftover = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(Result::ok)
+            .any(|e| e.file_name().to_string_lossy().ends_with(".tmp"));
+        assert!(
+            !leftover,
+            "the atomic write's temporary file must be renamed away"
+        );
         std::fs::remove_file(p).ok();
     }
 

@@ -48,9 +48,14 @@ fn fixture_path(id: &str) -> PathBuf {
         .join(format!("{id}.json"))
 }
 
-fn golden_config(id: &str, scale: Option<usize>) -> Config {
+/// Each capture writes into its own directory, named by the calling
+/// test (`tag`), the figure and the process: the per-figure tests and the
+/// byte-for-byte test run the same figures concurrently, and a shared
+/// directory let one test read a CSV while another was rewriting it.
+fn golden_config(tag: &str, id: &str, scale: Option<usize>) -> Config {
+    let dir = format!("pubopt-golden-{tag}-{id}-{}", std::process::id());
     Config {
-        out_dir: std::env::temp_dir().join(format!("pubopt-golden-{id}")),
+        out_dir: std::env::temp_dir().join(dir),
         fast: true,
         threads: 4,
         scale,
@@ -59,14 +64,15 @@ fn golden_config(id: &str, scale: Option<usize>) -> Config {
 }
 
 /// Run the figure and capture every CSV it wrote as (name, headers, rows).
-fn capture(id: &str, scale: Option<usize>) -> Vec<(String, Vec<String>, Vec<Vec<f64>>)> {
-    let result = run_figure(id, &golden_config(id, scale));
+fn capture(tag: &str, id: &str, scale: Option<usize>) -> Vec<(String, Vec<String>, Vec<Vec<f64>>)> {
+    let config = golden_config(tag, id, scale);
+    let result = run_figure(id, &config);
     assert_ne!(
         result.status,
         FigureStatus::Failed,
         "{id}: sweep unusable, cannot capture/verify goldens"
     );
-    result
+    let tables = result
         .files
         .iter()
         .map(|path| {
@@ -85,11 +91,13 @@ fn capture(id: &str, scale: Option<usize>) -> Vec<(String, Vec<String>, Vec<Vec<
             let name = path.file_name().unwrap().to_string_lossy().into_owned();
             (name, headers, rows)
         })
-        .collect()
+        .collect();
+    std::fs::remove_dir_all(&config.out_dir).ok();
+    tables
 }
 
-fn to_fixture(id: &str, scale: Option<usize>) -> Value {
-    let tables = capture(id, scale)
+fn to_fixture(tag: &str, id: &str, scale: Option<usize>) -> Value {
+    let tables = capture(tag, id, scale)
         .into_iter()
         .map(|(name, headers, rows)| {
             Value::Object(vec![
@@ -131,7 +139,7 @@ fn check_against_fixture(id: &str, scale: Option<usize>) {
     let want_scale = fixture["scale"].as_u64().map(|n| n as usize);
     assert_eq!(want_scale, scale, "{id}: fixture captured at another scale");
 
-    let got = capture(id, scale);
+    let got = capture("check", id, scale);
     let want = fixture["tables"].as_array().expect("tables array");
     assert_eq!(got.len(), want.len(), "{id}: table count changed");
     for ((name, headers, rows), w) in got.iter().zip(want) {
@@ -213,7 +221,7 @@ fn columnar_path_reproduces_fixtures_byte_for_byte() {
                 path.display()
             )
         });
-        let got = format!("{}\n", to_fixture(id, scale));
+        let got = format!("{}\n", to_fixture("bytes", id, scale));
         if got != want {
             let byte = got
                 .bytes()
@@ -240,7 +248,7 @@ fn regenerate() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     std::fs::create_dir_all(&dir).expect("create tests/golden");
     for &(id, scale) in GOLDEN {
-        let fixture = to_fixture(id, scale);
+        let fixture = to_fixture("regenerate", id, scale);
         let path = fixture_path(id);
         std::fs::write(&path, format!("{fixture}\n")).expect("write fixture");
         eprintln!("wrote {}", path.display());

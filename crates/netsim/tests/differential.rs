@@ -7,7 +7,7 @@
 //! {0.04, 0.08, 0.12, 0.16} s where `ScaledSim` clocks each RTT class at
 //! its own period. A scheduler that drops or reorders class updates
 //! (the calendar-queue bucket-boundary bug did both on mixed-RTT runs,
-//! moving rates by up to 3.6e-4) shows up here as a relative gap far
+//! moving rates by up to 2.5e-4) shows up here as a relative gap far
 //! above the 1e-9 budget.
 
 use pubopt_netsim::{FlowGroup, FluidSim, ScaledSim, SimConfig};

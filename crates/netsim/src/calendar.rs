@@ -238,12 +238,10 @@ impl<E: Clone> CalendarQueue<E> {
             if let Some(s) = self.buckets[b].first() {
                 // Due this "year"? All pending times are >= now, so a
                 // head filed under this lap's virtual bucket is the
-                // global minimum. The test reuses `virtual_bucket`, the
-                // exact expression `schedule` filed the slot under: a
-                // float boundary test such as `time < (vb+1)·width` can
-                // round the other way (at width 0.002, 4.002 files into
-                // bucket 2000 yet `4.002 < 2001·0.002` is false) and
-                // would skip the event for a whole lap.
+                // global minimum. Recompute the bucket with the exact
+                // expression `schedule` filed it under: a float bound
+                // such as `time < (vb+1)·width` can round the other way
+                // and skip the event for a whole lap.
                 if self.virtual_bucket(s.time) <= vb {
                     return self.take_from(b, vb);
                 }

@@ -126,12 +126,12 @@ impl GameWarmStart {
     }
 
     /// A/B baseline: the same sorted-prefix cache, but every water solve
-    /// runs the full cold binary segment search — no hint is carried, not
-    /// even between best-response rounds at a single point. This is the
-    /// solver as it would behave without the warm-start subsystem;
-    /// results are bit-identical to [`GameWarmStart::new`] (hints change
-    /// effort, never values). Used by the bench harness to measure the
-    /// `num.warmstart.*` savings.
+    /// runs the cold segment search over the whole breakpoint range — no
+    /// hint is carried, not even between best-response rounds at a single
+    /// point. This is the solver as it would behave without the
+    /// warm-start subsystem; results are bit-identical to
+    /// [`GameWarmStart::new`] (hints change effort, never values). Used by
+    /// the bench harness to measure the `num.warmstart.*` savings.
     pub fn without_hints() -> Self {
         Self {
             carry_hints: false,

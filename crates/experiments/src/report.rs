@@ -284,7 +284,9 @@ mod tests {
 
     #[test]
     fn csv_written_to_disk() {
-        let dir = std::env::temp_dir().join("pubopt-report-test");
+        // A directory of this process's own: the leftover scan below reads
+        // the whole directory, so a shared one would see other runs' files.
+        let dir = std::env::temp_dir().join(format!("pubopt-report-test-{}", std::process::id()));
         let mut t = Table::new(vec!["a"]);
         t.push(vec![1.5]);
         let p = t.write_csv(&dir, "t.csv");
@@ -298,7 +300,7 @@ mod tests {
             !leftover,
             "the atomic write's temporary file must be renamed away"
         );
-        std::fs::remove_file(p).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

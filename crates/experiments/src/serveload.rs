@@ -1430,22 +1430,50 @@ mod tests {
         server.join();
     }
 
-    #[test]
-    fn replay_tallies_against_a_live_daemon() {
-        let server = spawn(&ServeConfig::default()).expect("bind");
-        let workload = mixed_workload(&LoadOptions {
+    fn tally_workload() -> Vec<(String, String)> {
+        mixed_workload(&LoadOptions {
             requests: 20,
             pool: 4,
             scenario_n: 8,
             ..LoadOptions::default()
-        });
-        let summary = replay(server.addr(), &workload, 3);
+        })
+    }
+
+    /// Concurrent clients: the daemon does not coalesce requests for one
+    /// key, so up to `clients` of them can miss the same key at once.
+    /// Every request is one cache lookup, each of the 4 pool keys misses
+    /// at least once and at most once per client, and 20 draws over 4
+    /// keys must repeat one.
+    #[test]
+    fn replay_tallies_against_a_live_daemon() {
+        let server = spawn(&ServeConfig::default()).expect("bind");
+        let workload = tally_workload();
+        let clients = 3;
+        let summary = replay(server.addr(), &workload, clients);
         assert_eq!(summary.requests, 20);
         assert_eq!(summary.failed(), 0, "all queries valid: {summary:?}");
         assert!(summary.p50_us <= summary.p99_us);
         let stats = server.cache_stats();
+        assert_eq!(stats.hits + stats.misses, 20, "{stats:?}");
+        assert!(
+            (4..=4 * clients as u64).contains(&stats.misses),
+            "{stats:?}"
+        );
         assert!(stats.hits > 0, "a 4-entry pool over 20 draws must hit");
-        assert!(stats.misses <= 4);
+        server.shutdown();
+        server.join();
+    }
+
+    /// One client replays sequentially, so each pool key misses exactly
+    /// once and every repeat hits.
+    #[test]
+    fn single_client_replay_misses_each_key_once() {
+        let server = spawn(&ServeConfig::default()).expect("bind");
+        let summary = replay(server.addr(), &tally_workload(), 1);
+        assert_eq!(summary.failed(), 0, "all queries valid: {summary:?}");
+        let stats = server.cache_stats();
+        assert_eq!(stats.misses, 4, "{stats:?}");
+        assert_eq!(stats.hits, 16, "{stats:?}");
         server.shutdown();
         server.join();
     }
